@@ -261,6 +261,9 @@ class GroverSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise AlgorithmError("need at least one qubit")
+        if self.n > 20:
+            raise AlgorithmError(f"{self.n} qubits is too large to simulate "
+                                 "(the limit is 20)")
         marked = tuple(sorted(set(self.marked)))
         object.__setattr__(self, "marked", marked)
         size = 2 ** self.n

@@ -20,8 +20,8 @@ from .compiler import CompileError, compile_circuit, verify_compilation
 from .core import SpinSystem, SpinSystemError, basis_projector, expand
 from .entangle import (EntangleError, decompose_overcomplete,
                        separability_bounds, werner)
-from .formats import (ParseError, format_pulses, parse_circuit, parse_pulses,
-                      parse_system, spectrum_csv)
+from .formats import (ParseError, _num, format_pulses, parse_circuit,
+                      parse_pulses, parse_system, spectrum_csv)
 from .gates import GateError
 from .prep import (PrepError, prep_cat_method, prep_logical_label,
                    prep_spatial_cory, prep_spatial_pravia,
@@ -52,12 +52,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _num(x: float) -> str:
-    if abs(x) < 1e-12:
-        return "0"
-    return "%.6g" % x
 
 
 def _read(path: str) -> str:

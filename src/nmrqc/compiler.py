@@ -196,8 +196,7 @@ class _Emitter:
             # |x>|b> -> |x>|b + f(x)> is h on the ancilla around the phase
             # table theta(x, b) = pi f(x) b, since X = h Z h^-1 exactly.
             anc = g.qubits[-1]
-            theta = [math.pi * g.table[z >> 1] * (z & 1)
-                     for z in range(2 ** len(g.qubits))]
+            theta = [math.pi * fx * b for fx in g.table for b in (0, 1)]
             self.pulse(anc, 90.0, 270.0)
             self.diagonal_phases(g.qubits, theta)
             self.pulse(anc, 90.0, 90.0)
@@ -208,6 +207,11 @@ class _Emitter:
 
     def frame(self) -> FrameState:
         return FrameState(tuple(self.phases))
+
+    def frame_shifts(self) -> list[Element]:
+        """Explicit FrameShift elements closing every pending frame angle."""
+        return [FrameShift(spin, theta) for spin, theta in enumerate(self.phases)
+                if abs(theta) > 1e-9]
 
 
 def _merged(elements: list[Element]) -> list[Element]:
@@ -269,11 +273,7 @@ def compile_circuit(circ: Circuit, system: SpinSystem) -> PulseProgram:
     em = _Emitter(system, FrameState.zero(system.n))
     for g in circ:
         em.gate(g)
-    elements = _merged(em.out)
-    for spin, theta in enumerate(em.phases):
-        if abs(theta) > 1e-9:
-            elements.append(FrameShift(spin, theta))
-    return PulseProgram(tuple(elements))
+    return PulseProgram(tuple(_merged(em.out) + em.frame_shifts()))
 
 
 def phase_gate_program(system: SpinSystem, pair: tuple[int, int], phi: float,
@@ -287,11 +287,7 @@ def phase_gate_program(system: SpinSystem, pair: tuple[int, int], phi: float,
     """
     em = _Emitter(system, FrameState.zero(system.n))
     em.phase_pair(pair[0], pair[1], phi, extra_periods=extra_periods)
-    elements = list(em.out)
-    for spin, theta in enumerate(em.phases):
-        if abs(theta) > 1e-9:
-            elements.append(FrameShift(spin, theta))
-    return PulseProgram(tuple(elements))
+    return PulseProgram(tuple(em.out + em.frame_shifts()))
 
 
 def verify_compilation(circ: Circuit, system: SpinSystem,
@@ -417,14 +413,7 @@ def transition_selective_cnot(system: SpinSystem, control: int, target: int,
             f"spins {system.names[control]} and {system.names[target]} are "
             "uncoupled; their multiplet lines coincide and no transition "
             "can be addressed selectively")
-    u = np.eye(2 ** n, dtype=complex)
-    tbit = 1 << (n - 1 - target)
-    for idx in range(2 ** n):
-        if (idx >> (n - 1 - control)) & 1 != control_state:
-            continue
-        if idx & tbit:
-            continue
-        other = idx | tbit
-        u[idx, idx] = u[other, other] = 0.0
-        u[idx, other] = u[other, idx] = 1.0
-    return u
+    hit = np.diag([1.0 - control_state, control_state])  # |c><c|
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    local = np.kron(hit, flip) + np.kron(np.eye(2) - hit, np.eye(2))
+    return embed(local, (control, target), n)

@@ -15,6 +15,7 @@ with Iz eigenvalue +1/2.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -69,7 +70,11 @@ class SpinSystem:
             if (i, j) in seen:
                 raise SpinSystemError(f"coupling ({i},{j}) defined twice")
             seen.add((i, j))
-            float(hz)
+            if not math.isfinite(float(hz)):
+                raise SpinSystemError(f"coupling ({i},{j}) J = {hz} is not finite")
+        for name, hz in zip(self.names, self.offsets):
+            if not math.isfinite(float(hz)):
+                raise SpinSystemError(f"spin {name} offset {hz} is not finite")
 
     @property
     def n(self) -> int:
@@ -264,23 +269,23 @@ def _spin_count(mat: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# coherence orders
+# basis-index layout and coherence orders
 
 @lru_cache(maxsize=32)
-def _magnetic_numbers(n: int) -> np.ndarray:
-    """Total Iz quantum number of each computational basis state, times 2.
+def _spin_bits(n: int) -> np.ndarray:
+    """Read-only (2^n, n) table: entry [x, k] is the bit of spin k in index x.
 
-    Stored doubled so the values are exact integers; state |s> contributes
-    +1/2 per 0 bit and -1/2 per 1 bit.
+    Spin 0 is the most significant bit; bit 0 is Iz = +1/2, so 0.5 - bits
+    gives every Iz eigenvalue. The one place the index layout is spelled out.
     """
-    idx = np.arange(2 ** n)
-    ones = np.array([bin(v).count("1") for v in idx])
-    return n - 2 * ones  # equals 2m
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    bits.setflags(write=False)
+    return bits
 
 
 def coherence_orders(n: int) -> np.ndarray:
     """Matrix of coherence orders p[r, c] = m(r) - m(c) for an n-spin space."""
-    m2 = _magnetic_numbers(n)
+    m2 = n - 2 * _spin_bits(n).sum(1)  # twice the total Iz, an exact integer
     return (m2[:, None] - m2[None, :]) // 2
 
 

@@ -10,6 +10,7 @@ degrees.
 from __future__ import annotations
 
 import difflib
+import math
 
 import numpy as np
 
@@ -53,9 +54,12 @@ def _lines(text: str):
 
 def _float(ln: int, col: int, tok: str, what: str) -> float:
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
         raise ParseError(ln, col, f"{what} {tok!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ParseError(ln, col, f"{what} {tok!r} is not finite")
+    return value
 
 
 def _int(ln: int, col: int, tok: str, what: str) -> int:

@@ -7,12 +7,13 @@ a basis index, matching the spin ordering of the state layer.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+
+from .core import _spin_bits
 
 _SQ2 = math.sqrt(2.0)
 
@@ -190,16 +191,17 @@ def embed(u: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
         raise GateError(f"matrix shape {u.shape} does not fit {k} qubits")
     if any(not 0 <= q < n_qubits for q in qubits):
         raise GateError(f"qubits {qubits} outside 0..{n_qubits - 1}")
+    if len(set(qubits)) != k:
+        raise GateError(f"qubits {qubits} repeat a qubit")
+    bits = _spin_bits(n_qubits)
     others = [q for q in range(n_qubits) if q not in qubits]
+    local = bits[:, list(qubits)] @ 2 ** np.arange(k - 1, -1, -1)
+    rest = bits[:, others] @ 2 ** np.arange(len(others) - 1, -1, -1)
+    # One row of basis indices per background setting of the other qubits,
+    # in local-index order; u is written as one block on each.
+    rows = np.lexsort((local, rest)).reshape(-1, 2 ** k)
     out = np.zeros((2 ** n_qubits, 2 ** n_qubits), dtype=complex)
-    # Local index s spreads onto the chosen bit positions; the rest is a
-    # shared background written identically on rows and columns.
-    spread = [sum(((s >> (k - 1 - j)) & 1) << (n_qubits - 1 - qubits[j])
-                  for j in range(k)) for s in range(2 ** k)]
-    for bits in itertools.product((0, 1), repeat=len(others)):
-        base = sum(b << (n_qubits - 1 - q) for q, b in zip(others, bits))
-        idx = [base + s for s in spread]
-        out[np.ix_(idx, idx)] = u
+    out[rows[:, :, None], rows[:, None, :]] = u
     return out
 
 
@@ -287,10 +289,7 @@ def xor_oracle(table, qubits: tuple[int, ...], label: str = "") -> Oracle:
     if len(qubits) != n_in + 1:
         raise GateError(f"xor oracle over {n_in} inputs needs {n_in + 1} "
                         f"qubits including the ancilla, got {len(qubits)}")
-    d = 2 ** (n_in + 1)
-    u = np.zeros((d, d), dtype=complex)
-    for x in range(2 ** n_in):
-        for b in (0, 1):
-            u[(x << 1) | (b ^ t[x]), (x << 1) | b] = 1.0
+    f = np.diag(np.array(t, dtype=float))  # |x><x| where f(x) = 1
+    u = np.kron(np.eye(len(t)) - f, np.eye(2)) + np.kron(f, _X)
     name = label or "f" + "".join(str(b) for b in t)
     return Oracle(name, tuple(qubits), u, kind="xor", table=t)

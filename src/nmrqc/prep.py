@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .compiler import compile_circuit
-from .core import (SpinSystem, SpinSystemError, basis_element, expand,
+from .core import (SpinSystem, SpinSystemError, _spin_bits, expand,
                    basis_projector)
 from .gates import CNot, Circuit, cat_circuit, ideal_unitary
 from .pulses import (Couple, Crush, MultiQuantumFilter, PulseProgram,
@@ -74,11 +74,8 @@ def thermal_state(system: SpinSystem, weights=None) -> np.ndarray:
     weights = tuple(float(w) for w in weights)
     if len(weights) != system.n:
         raise PrepError(f"{len(weights)} weights for {system.n} spins")
-    rho = np.zeros((system.dim, system.dim), dtype=complex)
-    for i, w in enumerate(weights):
-        label = "".join("z" if k == i else "E" for k in range(system.n))
-        rho += w * basis_element(label)
-    return rho
+    iz = 0.5 - _spin_bits(system.n)  # Iz eigenvalue of each spin per index
+    return np.diag(iz @ np.array(weights)).astype(complex)
 
 
 def _unit_thermal(system: SpinSystem) -> np.ndarray:

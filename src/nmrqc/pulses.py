@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import SpinSystem, coherence_order_projection, _spin_count
+from .core import SpinSystem, coherence_order_projection, _spin_bits, _spin_count
 
 PHASE_NAMES = {"x": 0.0, "y": 90.0, "-x": 180.0, "-y": 270.0}
 
@@ -116,6 +116,12 @@ def program(*elements: Element) -> PulseProgram:
     return PulseProgram(tuple(elements))
 
 
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise ProgramError(f"{what} {value} is not finite")
+    return value
+
+
 def resolve_phase(phase: Union[float, str]) -> Union[float, str]:
     """Normalise a phase spec to degrees, or the literal "z"."""
     if isinstance(phase, str):
@@ -125,10 +131,12 @@ def resolve_phase(phase: Union[float, str]) -> Union[float, str]:
         if key in PHASE_NAMES:
             return PHASE_NAMES[key]
         try:
-            return float(key)
+            value = float(key)
         except ValueError:
             raise ProgramError(f"unknown pulse phase {phase!r}") from None
-    return float(phase)
+    else:
+        value = float(phase)
+    return _finite(value, "pulse phase")
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +165,7 @@ def rotation_propagator(n: int, targets, angle_deg: float, phase) -> np.ndarray:
     for t in targets:
         if not 0 <= t < n:
             raise ProgramError(f"pulse target {t} outside 0..{n - 1}")
+    angle_deg = _finite(angle_deg, "pulse angle")
     u1 = _single_rotation(angle_deg, resolve_phase(phase))
     out = np.array([[1.0 + 0j]])
     eye = np.eye(2)
@@ -172,19 +181,16 @@ def hamiltonian_diagonal(system: SpinSystem) -> np.ndarray:
     Weak coupling keeps H diagonal, so free precession is elementwise phase
     accumulation. Cached per system.
     """
-    n = system.n
-    diag = np.zeros(2 ** n)
-    for idx in range(2 ** n):
-        mz = [0.5 if not (idx >> (n - 1 - k)) & 1 else -0.5 for k in range(n)]
-        val = sum(2 * math.pi * system.offsets[k] * mz[k] for k in range(n))
-        for (i, j), hz in system.couplings:
-            val += 2 * math.pi * hz * mz[i] * mz[j]
-        diag[idx] = val
+    mz = 0.5 - _spin_bits(system.n)  # Iz eigenvalue of each spin per index
+    diag = mz @ (2 * math.pi * np.array(system.offsets))
+    for (i, j), hz in system.couplings:
+        diag += 2 * math.pi * hz * mz[:, i] * mz[:, j]
     return diag
 
 
 def delay_propagator(system: SpinSystem, duration: float) -> np.ndarray:
     """Free precession unitary exp(-i H t)."""
+    duration = _finite(duration, "delay duration")
     return np.diag(np.exp(-1j * hamiltonian_diagonal(system) * duration))
 
 
@@ -202,11 +208,9 @@ def couple_propagator(system: SpinSystem, pair, fraction: float) -> np.ndarray:
         raise ProgramError(
             f"spins {system.names[i]} and {system.names[j]} are uncoupled; "
             "a coupling period cannot be realised")
-    n = system.n
-    idx = np.arange(2 ** n)
-    bi = (idx >> (n - 1 - i)) & 1
-    bj = (idx >> (n - 1 - j)) & 1
-    mm = (0.5 - bi) * (0.5 - bj)  # product of the two Iz eigenvalues
+    fraction = _finite(fraction, "coupling fraction")
+    mz = 0.5 - _spin_bits(system.n)
+    mm = mz[:, i] * mz[:, j]  # product of the two Iz eigenvalues
     return np.diag(np.exp(-2j * math.pi * fraction * mm))
 
 

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SpinSystem, basis_element, _spin_count
+from .core import SpinSystem, basis_element, _all_labels, _spin_count
 from .pulses import rotation_propagator
 
 AMP_DROP = 1e-12
@@ -202,7 +202,7 @@ def tomography(rho_true: np.ndarray, system: SpinSystem,
                 u = rotation_propagator(n, (s,), 90.0, c) @ u
         props.append(u)
 
-    labels = [lb for lb in _deviation_labels(n)]
+    labels = _all_labels(n)[1:]  # all-E sorts first
 
     def amps(rho) -> np.ndarray:
         cols = []
@@ -230,15 +230,6 @@ def tomography(rho_true: np.ndarray, system: SpinSystem,
         "experiments": len(scheme),
         "coefficients": table,
     }
-
-
-def _deviation_labels(n: int) -> list[str]:
-    out = []
-    for letters in itertools.product("Exyz", repeat=n):
-        label = "".join(letters)
-        if label != "E" * n:
-            out.append(label)
-    return out
 
 
 def broadened(spec: Spectrum, width_hz: float,

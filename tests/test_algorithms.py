@@ -188,6 +188,12 @@ def test_spec_validation():
     assert GroverSpec(2, (3, 1, 1)).marked == (1, 3)
 
 
+def test_spec_caps_size_at_twenty_qubits():
+    assert GroverSpec(20, (1,)).n == 20
+    with pytest.raises(AlgorithmError, match="20"):
+        GroverSpec(30, (1,))
+
+
 def test_explicit_iteration_override():
     out = grover(GroverSpec(2, (1,), iterations=2))
     assert out["iterations"] == 2

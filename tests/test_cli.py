@@ -171,3 +171,18 @@ def test_garbage_iterations_is_a_data_error(capsys):
     )
     assert code == 2
     assert err
+
+
+def test_non_finite_system_file_is_a_data_error(tmp_path, capsys):
+    bad = tmp_path / "nan.cfg"
+    bad.write_text("SPIN a 1H 0\nSPIN b 1H nan\nJ a b 7\n")
+    code, _, err = run_cli(capsys, "prep", "--system", str(bad), "--method", "cory")
+    assert code == 2
+    assert "line 2" in err and "not finite" in err
+
+
+def test_grover_above_twenty_qubits_is_a_data_error(capsys):
+    # The size check runs before any state vector is allocated.
+    code, _, err = run_cli(capsys, "grover", "--n", "30", "--marked", "1" * 30)
+    assert code == 2
+    assert "20" in err

@@ -191,6 +191,23 @@ def test_transition_selective_needs_coupling():
         transition_selective_cnot(spin_pair(0.0), 0, 1)
 
 
+@pytest.mark.parametrize("control_state", [0, 1])
+def test_transition_selective_cnot_matches_bitstring_oracle(control_state):
+    system = fully_coupled(4)
+    for control in range(4):
+        for target in range(4):
+            if control == target:
+                continue
+            want = np.zeros((16, 16))
+            for x in range(16):
+                bits = list(format(x, "04b"))
+                if bits[control] == str(control_state):
+                    bits[target] = "1" if bits[target] == "0" else "0"
+                want[int("".join(bits), 2), x] = 1.0
+            got = transition_selective_cnot(system, control, target, control_state)
+            np.testing.assert_array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # refocusing for bystander spins
 

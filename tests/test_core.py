@@ -93,6 +93,14 @@ def test_self_coupling_rejected():
         )
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_offsets_and_couplings_rejected(bad):
+    with pytest.raises(SpinSystemError, match="not finite"):
+        SpinSystem(("a", "b"), ("1H", "1H"), (0.0, bad), (((0, 1), 7.0),))
+    with pytest.raises(SpinSystemError, match="not finite"):
+        spin_pair(bad)
+
+
 def test_size_cap():
     with pytest.raises(SpinSystemError):
         spin_chain(11)
@@ -203,6 +211,13 @@ def test_assemble_from_dict():
 def orders_present(rho):
     table = coherence_orders(int(np.log2(rho.shape[0])))
     return set(table[np.abs(rho) > 1e-12].tolist())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_coherence_orders_are_popcount_differences(n):
+    ones = [format(x, f"0{n}b").count("1") for x in range(2 ** n)]
+    want = [[ones[c] - ones[r] for c in range(2 ** n)] for r in range(2 ** n)]
+    np.testing.assert_array_equal(coherence_orders(n), want)
 
 
 def test_coherence_orders_of_known_elements():

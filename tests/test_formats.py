@@ -178,6 +178,27 @@ def test_pulse_errors():
         parse_pulses("WAIT t=1\n")
 
 
+@pytest.mark.parametrize(
+    "parse,text,column",
+    [
+        (parse_system, "SPIN a 1H nan\n", 11),
+        (parse_system, "SPIN a 1H 0\nSPIN b 1H 5\nJ a b inf\n", 7),
+        (parse_pulses, "PULSE targets=1 angle=nan phase=x\n", 17),
+        (parse_pulses, "DELAY t=inf\n", 7),
+        (parse_circuit, "CPHASE q0 q1 -inf\n", 14),
+    ],
+)
+def test_non_finite_numbers_are_parse_errors(parse, text, column):
+    with pytest.raises(ParseError, match="not finite") as err:
+        parse(text)
+    assert err.value.line == text.count("\n") and err.value.column == column
+
+
+def test_non_finite_pulse_phase_is_a_parse_error():
+    with pytest.raises(ParseError, match="bad phase"):
+        parse_pulses("PULSE targets=1 angle=90 phase=nan\n")
+
+
 # ---------------------------------------------------------------------------
 # spectrum CSV
 

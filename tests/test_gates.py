@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmrqc.core import basis_ket, cat_ket, equal_up_to_global_phase
 from nmrqc.gates import (
@@ -158,3 +160,35 @@ def test_oracle_validates_shape():
 def test_oracle_table_length_checked():
     with pytest.raises(GateError):
         phase_oracle([0, 1, 1], (0, 1))
+
+
+def embed_oracle(u, qubits, n):
+    """Entry by entry from bitstrings: u on the listed bits, identity elsewhere."""
+    others = [q for q in range(n) if q not in qubits]
+    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for r in range(2 ** n):
+        rb = format(r, f"0{n}b")
+        for c in range(2 ** n):
+            cb = format(c, f"0{n}b")
+            if all(rb[q] == cb[q] for q in others):
+                lr = int("".join(rb[q] for q in qubits) or "0", 2)
+                lc = int("".join(cb[q] for q in qubits) or "0", 2)
+                out[r, c] = u[lr, lc]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.permutations(range(n)), st.integers(0, min(3, n)),
+    st.integers(0, 2 ** 32 - 1))))
+def test_embed_matches_bitstring_oracle(case):
+    n, order, k, seed = case
+    qubits = tuple(order[:k])
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k))
+    np.testing.assert_array_equal(embed(u, qubits, n), embed_oracle(u, qubits, n))
+
+
+def test_embed_rejects_repeated_qubits():
+    with pytest.raises(GateError):
+        embed(CNOT01.astype(complex), (1, 1), 3)

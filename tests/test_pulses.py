@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from nmrqc.core import basis_element, expand, spin_pair
+from nmrqc.core import basis_element, expand, fully_coupled, spin_chain, spin_pair
 from nmrqc.pulses import (
     Couple,
     Crush,
@@ -118,7 +120,11 @@ def test_rotation_targets_validated():
         rotation_propagator(2, (), 90, 0)
 
 
-@pytest.mark.parametrize("system", [CYTOSINE, HETERO], ids=["homo", "hetero"])
+@pytest.mark.parametrize(
+    "system",
+    [CYTOSINE, HETERO, fully_coupled(4), spin_chain(5)],
+    ids=["homo", "hetero", "full4", "chain5"],
+)
 def test_hamiltonian_diagonal_matches_operator_form(system):
     diag = hamiltonian_diagonal(system)
     np.testing.assert_allclose(np.diag(diag), hamiltonian_oracle(system), atol=1e-9)
@@ -279,3 +285,40 @@ def test_random_programs_preserve_spectrum(seed, n):
     np.testing.assert_allclose(
         np.sort(np.linalg.eigvalsh(out)), np.sort(np.linalg.eigvalsh(rho)), atol=1e-9
     )
+
+
+# ---------------------------------------------------------------------------
+# non-finite numbers
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: rotation_propagator(2, (0,), NAN, 0.0),
+        lambda: rotation_propagator(2, (0,), 90.0, INF),
+        lambda: rotation_propagator(2, (0,), 90.0, "nan"),
+        lambda: delay_propagator(CYTOSINE, INF),
+        lambda: couple_propagator(CYTOSINE, (0, 1), NAN),
+        lambda: resolve_phase(-INF),
+    ],
+    ids=["angle", "phase", "phase-text", "duration", "fraction", "resolve"],
+)
+def test_non_finite_propagator_inputs_rejected(build):
+    with pytest.raises(ProgramError, match="not finite"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "element",
+    [Rotation((0,), NAN), Delay(INF), Couple((0, 1), INF), FrameShift(1, NAN)],
+    ids=["rotation", "delay", "couple", "frame-shift"],
+)
+def test_run_program_names_the_non_finite_element(element):
+    prog = program(Rotation((0,), 90.0), element)
+    rho = basis_element("zE")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ProgramError, match=r"element 1 .*not finite"):
+            run_program(rho, prog, CYTOSINE)

@@ -17,7 +17,8 @@ from .algorithms import (AlgorithmError, GroverSpec, PromiseViolation,
                          binary_function, deutsch_jozsa_refined, DJStats,
                          deutsch_report, grover, sample_counts)
 from .compiler import CompileError, compile_circuit, verify_compilation
-from .core import SpinSystem, SpinSystemError, basis_projector, expand
+from .core import (SpinSystem, SpinSystemError, _spin_count, basis_projector,
+                   expand)
 from .entangle import (EntangleError, decompose_overcomplete,
                        separability_bounds, werner)
 from .formats import (ParseError, _num, format_pulses, parse_circuit,
@@ -111,16 +112,12 @@ def _cmd_prep(args) -> int:
         # The cat route ends on a two-level subsystem, not a pseudo-pure
         # state of the whole register, so the background check is moot.
         return 0
-    report = verify_pseudo_pure(result.rho, "0" * _rho_spins(result.rho))
+    report = verify_pseudo_pure(result.rho, "0" * _spin_count(result.rho))
     print(f"epsilon {_num(report['epsilon'])}")
     print(f"background {_num(report['background'])}")
     print(f"residual {report['residual']:.3g}")
     print("PASS" if report["pass"] else "FAIL")
     return 0 if report["pass"] else 3
-
-
-def _rho_spins(rho) -> int:
-    return int(rho.shape[0]).bit_length() - 1
 
 
 def _cmd_run(args) -> int:

@@ -55,14 +55,6 @@ class FrameState:
     def zero(n: int) -> "FrameState":
         return FrameState((0.0,) * n)
 
-    def phase(self, spin: int) -> float:
-        return self.phases[spin]
-
-    def advanced(self, spin: int, delta: float) -> "FrameState":
-        lst = list(self.phases)
-        lst[spin] += delta
-        return FrameState(tuple(lst))
-
 
 class _Emitter:
     """Accumulates pulse elements while threading the per-spin frames.

@@ -305,7 +305,7 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) ->
     """True when a = exp(i phi) b for some phase, within Frobenius tolerance."""
     if a.shape != b.shape:
         return False
-    overlap = np.trace(b.conj().T @ a)
+    overlap = np.vdot(b, a)
     if abs(overlap) < 1e-30:
         # No phase alignment possible; only equal if both vanish.
         return bool(np.linalg.norm(a) <= tol and np.linalg.norm(b) <= tol)
@@ -315,7 +315,7 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) ->
 
 def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius distance between a and the best phase-aligned copy of b."""
-    overlap = np.trace(b.conj().T @ a)
+    overlap = np.vdot(b, a)
     alpha = overlap / abs(overlap) if abs(overlap) > 1e-30 else 1.0
     return float(np.linalg.norm(a - alpha * b))
 

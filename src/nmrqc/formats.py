@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import difflib
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -70,6 +71,32 @@ def _int(ln: int, col: int, tok: str, what: str) -> int:
                          f"{what} {tok!r} is not an integer") from None
 
 
+def _unknown(ln: int, col: int, what: str, word: str, known) -> ParseError:
+    hint = difflib.get_close_matches(word, known, n=1)
+    extra = f"; did you mean {hint[0]}?" if hint else ""
+    return ParseError(ln, col, f"unknown {what} {word!r}{extra}")
+
+
+def _kv(ln, args, allowed: tuple[str, ...]) -> dict:
+    out = {}
+    for col, tok in args:
+        if "=" not in tok:
+            raise ParseError(ln, col, f"expected key=value, got {tok!r}")
+        k, v = tok.split("=", 1)
+        if k not in allowed:
+            raise ParseError(ln, col, f"unknown key {k!r}")
+        if k in out:
+            raise ParseError(ln, col, f"duplicate key {k!r}")
+        out[k] = (col, v)
+    return out
+
+
+def _need(ln, col0, word, kv, key):
+    if key not in kv:
+        raise ParseError(ln, col0, f"{word} needs {key}=")
+    return kv[key]
+
+
 # ---------------------------------------------------------------------------
 # spin-system config
 
@@ -121,12 +148,10 @@ def parse_system(text: str) -> SpinSystem:
             raise ParseError(ln, col0, f"unknown directive {word!r}")
     if not names:
         raise ParseError(1, 1, "no spins declared")
-    if center:
-        mean = sum(offsets) / len(offsets)
-        offsets = [v - mean for v in offsets]
     try:
-        return SpinSystem(tuple(names), tuple(species), tuple(offsets),
-                          tuple(couplings))
+        system = SpinSystem(tuple(names), tuple(species), tuple(offsets),
+                            tuple(couplings))
+        return system.centered() if center else system
     except SpinSystemError as e:
         raise ParseError(1, 1, str(e)) from None
 
@@ -143,8 +168,10 @@ def format_system(system: SpinSystem) -> str:
 # ---------------------------------------------------------------------------
 # circuit DSL
 
-_GATE_WORDS = ("H", "PH", "PHI", "X", "CNOT", "CPHASE", "TOFFOLI", "SWAP",
-               "ORACLE")
+_GATE_WORDS = {"H": Hadamard, "PH": PseudoHadamard, "PHI": PseudoHadamardInv,
+               "X": Not, "CNOT": CNot, "CPHASE": ControlledPhase,
+               "TOFFOLI": Toffoli, "SWAP": Swap, "ORACLE": Oracle}
+_WORD_OF_GATE = {cls: word for word, cls in _GATE_WORDS.items()}
 
 
 def _qubit(ln: int, col: int, tok: str, n_qubits) -> int:
@@ -173,9 +200,7 @@ def parse_circuit(text: str, n_qubits=None) -> Circuit:
         col0, word = tokens[0]
         args = tokens[1:]
         if word not in _GATE_WORDS:
-            hint = difflib.get_close_matches(word, _GATE_WORDS, n=1)
-            extra = f"; did you mean {hint[0]}?" if hint else ""
-            raise ParseError(ln, col0, f"unknown gate {word!r}{extra}")
+            raise _unknown(ln, col0, "gate", word, _GATE_WORDS)
         try:
             gate = _parse_gate(ln, col0, word, args, n_qubits)
         except GateError as e:
@@ -191,33 +216,19 @@ def parse_circuit(text: str, n_qubits=None) -> Circuit:
         raise ParseError(1, 1, str(e)) from None
 
 
-def _arity(ln, col, word, args, n):
-    if len(args) != n:
-        raise ParseError(ln, col, f"{word} takes {n} argument"
-                         + ("s" if n != 1 else ""))
-
-
 def _parse_gate(ln, col0, word, args, n_qubits) -> Gate:
-    q = lambda i: _qubit(ln, args[i][0], args[i][1], n_qubits)
-    if word in ("H", "PH", "PHI", "X"):
-        _arity(ln, col0, word, args, 1)
-        cls = {"H": Hadamard, "PH": PseudoHadamard,
-               "PHI": PseudoHadamardInv, "X": Not}[word]
-        return cls(q(0))
-    if word == "CNOT":
-        _arity(ln, col0, word, args, 2)
-        return CNot(q(0), q(1))
-    if word == "SWAP":
-        _arity(ln, col0, word, args, 2)
-        return Swap(q(0), q(1))
-    if word == "CPHASE":
-        _arity(ln, col0, word, args, 3)
+    cls = _GATE_WORDS[word]
+    if cls is Oracle:
+        return _parse_oracle(ln, col0, args, n_qubits)
+    n = len(fields(cls))
+    if len(args) != n:
+        raise ParseError(ln, col0, f"{word} takes {n} argument"
+                         + ("s" if n != 1 else ""))
+    if cls is ControlledPhase:
         deg = _float(ln, args[2][0], args[2][1], "angle")
-        return ControlledPhase(q(0), q(1), np.radians(deg))
-    if word == "TOFFOLI":
-        _arity(ln, col0, word, args, 3)
-        return Toffoli(q(0), q(1), q(2))
-    return _parse_oracle(ln, col0, args, n_qubits)
+        return ControlledPhase(_qubit(ln, *args[0], n_qubits),
+                               _qubit(ln, *args[1], n_qubits), np.radians(deg))
+    return cls(*(_qubit(ln, col, tok, n_qubits) for col, tok in args))
 
 
 def _parse_oracle(ln, col0, args, n_qubits) -> Oracle:
@@ -225,25 +236,11 @@ def _parse_oracle(ln, col0, args, n_qubits) -> Oracle:
         raise ParseError(ln, col0, "ORACLE needs arguments")
     first = args[0][1]
     if "=" in first:
-        keys = dict()
-        for col, tok in args:
-            if "=" not in tok:
-                raise ParseError(ln, col, f"expected key=value, got {tok!r}")
-            k, v = tok.split("=", 1)
-            keys[k] = (col, v)
-        missing = {"table", "qubits"} - keys.keys()
-        if missing:
-            raise ParseError(ln, col0,
-                             f"ORACLE missing {sorted(missing)[0]}=")
-        extra = keys.keys() - {"table", "qubits"}
-        if extra:
-            col, _ = keys[sorted(extra)[0]]
-            raise ParseError(ln, col,
-                             f"ORACLE does not take {sorted(extra)[0]}=")
-        tcol, tbits = keys["table"]
+        kv = _kv(ln, args, ("table", "qubits"))
+        tcol, tbits = _need(ln, col0, "ORACLE", kv, "table")
+        qcol, qtoks = _need(ln, col0, "ORACLE", kv, "qubits")
         if not tbits or any(c not in "01" for c in tbits):
             raise ParseError(ln, tcol, f"bad truth table {tbits!r}")
-        qcol, qtoks = keys["qubits"]
         qubits = tuple(_qubit(ln, qcol, t, n_qubits)
                        for t in qtoks.split(","))
         table = tuple(int(c) for c in tbits)
@@ -276,61 +273,23 @@ def format_circuit(circ: Circuit) -> str:
 
 
 def _format_gate(gate: Gate) -> str:
-    if isinstance(gate, Hadamard):
-        return f"H q{gate.qubit}"
-    if isinstance(gate, PseudoHadamard):
-        return f"PH q{gate.qubit}"
-    if isinstance(gate, PseudoHadamardInv):
-        return f"PHI q{gate.qubit}"
-    if isinstance(gate, Not):
-        return f"X q{gate.qubit}"
-    if isinstance(gate, CNot):
-        return f"CNOT q{gate.control} q{gate.target}"
-    if isinstance(gate, Swap):
-        return f"SWAP q{gate.q1} q{gate.q2}"
+    args = [f"q{q}" for q in gate_qubits(gate)]
     if isinstance(gate, ControlledPhase):
-        return (f"CPHASE q{gate.q1} q{gate.q2} "
-                f"{_num(float(np.degrees(gate.phi)))}")
-    if isinstance(gate, Toffoli):
-        return f"TOFFOLI q{gate.c1} q{gate.c2} q{gate.target}"
-    if isinstance(gate, Oracle):
+        args.append(_num(float(np.degrees(gate.phi))))
+    elif isinstance(gate, Oracle):
         if gate.kind is None:
             raise ValueError("an oracle with no declared kind has no text form")
         bits = "".join(str(b) for b in gate.table)
-        if gate.kind == "xor":
-            qs = " ".join(f"q{i}" for i in gate.qubits)
-            return f"ORACLE f{bits} {qs}"
-        if gate.kind == "phase":
-            qs = ",".join(f"q{i}" for i in gate.qubits)
-            return f"ORACLE table={bits} qubits={qs}"
-        raise ValueError("an oracle with no declared kind has no text form")
-    raise ValueError(f"cannot format {type(gate).__name__}")
+        args = ([f"f{bits}", *args] if gate.kind == "xor"
+                else [f"table={bits}", "qubits=" + ",".join(args)])
+    return " ".join([_WORD_OF_GATE[type(gate)], *args])
 
 
 # ---------------------------------------------------------------------------
 # pulse-program text
 
 _PHASE_WORDS = {0.0: "x", 90.0: "y", 180.0: "-x", 270.0: "-y"}
-
-
-def _kv(ln, args, allowed: tuple[str, ...]) -> dict:
-    out = {}
-    for col, tok in args:
-        if "=" not in tok:
-            raise ParseError(ln, col, f"expected key=value, got {tok!r}")
-        k, v = tok.split("=", 1)
-        if k not in allowed:
-            raise ParseError(ln, col, f"unknown key {k!r}")
-        if k in out:
-            raise ParseError(ln, col, f"duplicate key {k!r}")
-        out[k] = (col, v)
-    return out
-
-
-def _need(ln, col0, word, kv, key):
-    if key not in kv:
-        raise ParseError(ln, col0, f"{word} needs {key}=")
-    return kv[key]
+_PULSE_WORDS = ("PULSE", "DELAY", "COUPLE", "CRUSH", "MQFILTER", "FRAME")
 
 
 def _spin_list(ln, col, value: str) -> tuple[int, ...]:
@@ -395,10 +354,7 @@ def parse_pulses(text: str) -> PulseProgram:
             elements.append(FrameShift(spin - 1,
                                        _float(ln, pcol, pval, "phase")))
         else:
-            known = ("PULSE", "DELAY", "COUPLE", "CRUSH", "MQFILTER", "FRAME")
-            hint = difflib.get_close_matches(word, known, n=1)
-            extra = f"; did you mean {hint[0]}?" if hint else ""
-            raise ParseError(ln, col0, f"unknown element {word!r}{extra}")
+            raise _unknown(ln, col0, "element", word, _PULSE_WORDS)
     return program(*elements)
 
 

@@ -8,7 +8,7 @@ a basis index, matching the spin ordering of the state layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -116,24 +116,39 @@ Gate = Union[Hadamard, PseudoHadamard, PseudoHadamardInv, Not, CNot,
              ControlledPhase, Toffoli, Swap, Oracle]
 
 
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / _SQ2
+_PSEUDO_H = np.array([[1, -1], [1, 1]], dtype=complex) / _SQ2
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+# Matrix of every gate whose fields are all qubits, listed in matrix order;
+# ControlledPhase (angle field) and Oracle (own matrix) are the exceptions.
+_FIXED = {
+    Hadamard: _H,
+    PseudoHadamard: _PSEUDO_H,
+    PseudoHadamardInv: _PSEUDO_H.conj().T,
+    Not: _X,
+    CNot: np.array([[1, 0, 0, 0], [0, 1, 0, 0],
+                    [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+    Swap: np.array([[1, 0, 0, 0], [0, 0, 1, 0],
+                    [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
+    Toffoli: np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]],
+}
+for _u in _FIXED.values():
+    _u.setflags(write=False)
+
+
 def gate_qubits(gate: Gate) -> tuple[int, ...]:
     """Participating qubit indices in the gate's own order."""
-    if isinstance(gate, (Hadamard, PseudoHadamard, PseudoHadamardInv, Not)):
-        return (gate.qubit,)
-    if isinstance(gate, CNot):
-        return (gate.control, gate.target)
-    if isinstance(gate, ControlledPhase):
-        return (gate.q1, gate.q2)
-    if isinstance(gate, Toffoli):
-        return (gate.c1, gate.c2, gate.target)
-    if isinstance(gate, Swap):
-        return (gate.q1, gate.q2)
     if isinstance(gate, Oracle):
         return gate.qubits
+    if isinstance(gate, ControlledPhase):
+        return (gate.q1, gate.q2)
+    if type(gate) in _FIXED:
+        return tuple(getattr(gate, f.name) for f in fields(gate))
     raise GateError(f"not a gate: {gate!r}")
 
 
-def _validate(gate: Gate) -> tuple[int, ...]:
+def _validate(gate: Gate, n_qubits: Optional[int] = None) -> tuple[int, ...]:
     qs = gate_qubits(gate)
     if len(set(qs)) != len(qs):
         raise GateError(f"{type(gate).__name__} repeats a qubit: {qs}")
@@ -141,43 +156,20 @@ def _validate(gate: Gate) -> tuple[int, ...]:
         raise GateError(f"negative qubit index in {qs}")
     if isinstance(gate, ControlledPhase) and not math.isfinite(gate.phi):
         raise GateError(f"non-finite phase {gate.phi}")
+    if n_qubits is not None and any(q >= n_qubits for q in qs):
+        raise GateError(f"{type(gate).__name__} on {qs} does not fit "
+                        f"{n_qubits} qubits")
     return qs
-
-
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / _SQ2
-_PSEUDO_H = np.array([[1, -1], [1, 1]], dtype=complex) / _SQ2
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0],
-                  [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-_SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0],
-                  [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
 
 def local_unitary(gate: Gate) -> np.ndarray:
     """Exact matrix of the gate on its own qubits, ordered as gate_qubits."""
     _validate(gate)
-    if isinstance(gate, Hadamard):
-        return _H.copy()
-    if isinstance(gate, PseudoHadamard):
-        return _PSEUDO_H.copy()
-    if isinstance(gate, PseudoHadamardInv):
-        return _PSEUDO_H.conj().T.copy()
-    if isinstance(gate, Not):
-        return _X.copy()
-    if isinstance(gate, CNot):
-        return _CNOT.copy()
     if isinstance(gate, ControlledPhase):
         return np.diag([1, 1, 1, np.exp(1j * gate.phi)])
-    if isinstance(gate, Toffoli):
-        u = np.eye(8, dtype=complex)
-        u[6, 6] = u[7, 7] = 0
-        u[6, 7] = u[7, 6] = 1
-        return u
-    if isinstance(gate, Swap):
-        return _SWAP.copy()
     if isinstance(gate, Oracle):
         return np.array(gate.unitary)
-    raise GateError(f"not a gate: {gate!r}")
+    return _FIXED[type(gate)].copy()
 
 
 def embed(u: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
@@ -207,10 +199,7 @@ def embed(u: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
 
 def ideal_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
     """The gate's exact matrix on the full 2^n space."""
-    qs = _validate(gate)
-    if any(q >= n_qubits for q in qs):
-        raise GateError(f"{type(gate).__name__} on {qs} does not fit "
-                        f"{n_qubits} qubits")
+    qs = _validate(gate, n_qubits)
     return embed(local_unitary(gate), qs, n_qubits)
 
 
@@ -223,10 +212,7 @@ class Circuit:
         if self.n_qubits < 1:
             raise GateError("a circuit needs at least one qubit")
         for g in self.gates:
-            qs = _validate(g)
-            if any(q >= self.n_qubits for q in qs):
-                raise GateError(f"{type(g).__name__} on {qs} does not fit "
-                                f"{self.n_qubits} qubits")
+            _validate(g, self.n_qubits)
 
     def __iter__(self):
         return iter(self.gates)

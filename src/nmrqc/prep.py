@@ -202,9 +202,7 @@ def prep_temporal_exhaustive(system: SpinSystem) -> PrepResult:
     total = np.zeros_like(diag)
     for k in range(cycle):
         permuted = diag.copy()
-        for level in range(1, 2 ** n):
-            source = (level - 1 + k) % cycle + 1
-            permuted[level] = diag[source]
+        permuted[1:] = np.roll(diag[1:], -k)
         total = total + permuted
     rho = np.diag(total)
     return PrepResult(rho, _z_scale(rho, n), "temporal-exhaustive",

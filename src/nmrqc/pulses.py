@@ -189,8 +189,10 @@ def hamiltonian_diagonal(system: SpinSystem) -> np.ndarray:
 
 
 def delay_propagator(system: SpinSystem, duration: float) -> np.ndarray:
-    """Free precession unitary exp(-i H t)."""
+    """Free precession unitary exp(-i H t); t must not be negative."""
     duration = _finite(duration, "delay duration")
+    if duration < 0:
+        raise ProgramError(f"delay duration {duration} is negative")
     return np.diag(np.exp(-1j * hamiltonian_diagonal(system) * duration))
 
 

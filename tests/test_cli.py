@@ -186,3 +186,17 @@ def test_grover_above_twenty_qubits_is_a_data_error(capsys):
     code, _, err = run_cli(capsys, "grover", "--n", "30", "--marked", "1" * 30)
     assert code == 2
     assert "20" in err
+
+
+def test_negative_delay_pulse_file_is_a_data_error(workdir, capsys):
+    pulses = workdir / "back.pp"
+    pulses.write_text("DELAY t=-1\n")
+    code, _, err = run_cli(
+        capsys,
+        "spectrum",
+        "--system", str(workdir / "cytosine.cfg"),
+        "--prep", "cory",
+        "--pulses", str(pulses),
+    )
+    assert code == 2
+    assert "negative" in err

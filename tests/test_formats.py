@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nmrqc.core import basis_projector, spin_pair
+from nmrqc.core import SpinSystem, basis_projector, spin_pair
 from nmrqc.formats import (
     ParseError,
     format_circuit,
@@ -16,7 +20,20 @@ from nmrqc.formats import (
     parse_system,
     spectrum_csv,
 )
-from nmrqc.gates import CNot, ControlledPhase, Hadamard, Oracle, circuit, phase_oracle, xor_oracle
+from nmrqc.gates import (
+    CNot,
+    ControlledPhase,
+    Hadamard,
+    Not,
+    Oracle,
+    PseudoHadamard,
+    PseudoHadamardInv,
+    Swap,
+    Toffoli,
+    circuit,
+    phase_oracle,
+    xor_oracle,
+)
 from nmrqc.pulses import (
     Couple,
     Crush,
@@ -124,6 +141,9 @@ def test_unknown_gate_suggests_a_fix():
         ("CNOT q0 q0\n", "repeats a qubit"),
         ("ORACLE f011 q0 q1\n", "power of two"),
         ("H\n", "takes"),
+        ("ORACLE table=01 table=10 qubits=q0\n", "duplicate key 'table'"),
+        ("ORACLE table=01 qubits=q0 size=2\n", "unknown key 'size'"),
+        ("ORACLE qubits=q0\n", "ORACLE needs table="),
     ],
 )
 def test_circuit_errors(text, fragment):
@@ -178,6 +198,11 @@ def test_pulse_errors():
         parse_pulses("WAIT t=1\n")
 
 
+def test_unknown_element_suggests_a_fix():
+    with pytest.raises(ParseError, match="did you mean DELAY"):
+        parse_pulses("DELY t=1\n")
+
+
 @pytest.mark.parametrize(
     "parse,text,column",
     [
@@ -197,6 +222,122 @@ def test_non_finite_numbers_are_parse_errors(parse, text, column):
 def test_non_finite_pulse_phase_is_a_parse_error():
     with pytest.raises(ParseError, match="bad phase"):
         parse_pulses("PULSE targets=1 angle=90 phase=nan\n")
+
+
+# ---------------------------------------------------------------------------
+# round trips: format, parse and format again give the same text and objects
+
+# Numbers on a six-significant-digit grid print and parse back exactly.
+EXACT = st.integers(-999_999, 999_999).map(lambda k: k / 1000)
+DURATIONS = st.integers(0, 999_999).map(lambda k: k / 1e6)
+PHASES = st.one_of(st.just("z"), st.integers(0, 359_999).map(lambda k: k / 1000))
+
+
+@st.composite
+def systems(draw):
+    n = draw(st.integers(1, 4))
+    names = draw(st.lists(st.text("abHCN05", min_size=1, max_size=3),
+                          min_size=n, max_size=n, unique=True))
+    species = draw(st.lists(st.sampled_from(("1H", "13C", "15N", "19F")),
+                            min_size=n, max_size=n))
+    offsets = draw(st.lists(EXACT, min_size=n, max_size=n))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    couplings = tuple((pair, draw(EXACT)) for pair in chosen)
+    return SpinSystem(tuple(names), tuple(species), tuple(offsets), couplings)
+
+
+ONE_QUBIT = {"H": Hadamard, "PH": PseudoHadamard, "PHI": PseudoHadamardInv, "X": Not}
+
+
+@st.composite
+def gate_and_text(draw, n):
+    """One gate of any kind, built by field name, and the line it prints as."""
+    kind = draw(st.sampled_from(
+        (*ONE_QUBIT, "CNOT", "SWAP", "CPHASE", "TOFFOLI", "PHASE", "XOR")))
+    qs = draw(st.permutations(range(n)))
+    a, b, c = qs[:3]
+    if kind in ONE_QUBIT:
+        return ONE_QUBIT[kind](qubit=a), f"{kind} q{a}"
+    if kind == "CNOT":
+        return CNot(control=a, target=b), f"CNOT q{a} q{b}"
+    if kind == "SWAP":
+        return Swap(q1=a, q2=b), f"SWAP q{a} q{b}"
+    if kind == "CPHASE":
+        deg = draw(EXACT)
+        return (ControlledPhase(q1=a, q2=b, phi=np.radians(deg)),
+                f"CPHASE q{a} q{b} {deg:.6g}")
+    if kind == "TOFFOLI":
+        return Toffoli(c1=a, c2=b, target=c), f"TOFFOLI q{a} q{b} q{c}"
+    k = draw(st.integers(1, 3 if kind == "PHASE" else 2))
+    table = draw(st.lists(st.integers(0, 1), min_size=2 ** k, max_size=2 ** k))
+    bits = "".join(map(str, table))
+    if kind == "PHASE":
+        on = qs[:k]
+        return (phase_oracle(table, on),
+                f"ORACLE table={bits} qubits=" + ",".join(f"q{q}" for q in on))
+    on = qs[:k + 1]
+    return xor_oracle(table, on), f"ORACLE f{bits} " + " ".join(f"q{q}" for q in on)
+
+
+@st.composite
+def circuits_and_text(draw):
+    n = draw(st.integers(3, 5))
+    pairs = draw(st.lists(gate_and_text(n), min_size=1, max_size=8))
+    gates, lines = zip(*pairs)
+    return circuit(n, *gates), "\n".join(lines) + "\n"
+
+
+def _gate_fields(gate):
+    # Oracle has eq=False; its text form carries kind, qubits and table.
+    if isinstance(gate, Oracle):
+        return ("Oracle", gate.kind, gate.qubits, gate.table)
+    return gate
+
+
+PULSE_ELEMENTS = st.one_of(
+    st.builds(Rotation, targets=st.lists(st.integers(0, 3), min_size=1, max_size=4,
+                                         unique=True).map(tuple),
+              angle=EXACT, phase=PHASES),
+    st.builds(Delay, duration=DURATIONS),
+    st.builds(Couple, pair=st.lists(st.integers(0, 3), min_size=2, max_size=2,
+                                    unique=True).map(tuple),
+              fraction=EXACT),
+    st.builds(Crush, keep_zero_quantum=st.booleans()),
+    st.builds(MultiQuantumFilter,
+              orders=st.lists(st.integers(-4, 4), min_size=1, max_size=4).map(tuple)),
+    st.builds(FrameShift, spin=st.integers(0, 3), phase=EXACT),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(systems())
+def test_system_text_round_trips(system):
+    text = format_system(system)
+    back = parse_system(text)
+    assert back == system
+    assert format_system(back) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(circuits_and_text())
+def test_circuit_text_round_trips(case):
+    circ, text = case
+    assert format_circuit(circ) == text
+    back = parse_circuit(text, circ.n_qubits)
+    assert back.n_qubits == circ.n_qubits
+    assert list(map(_gate_fields, back.gates)) == list(map(_gate_fields, circ.gates))
+    assert format_circuit(back) == text
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(PULSE_ELEMENTS, min_size=1, max_size=8))
+def test_pulse_text_round_trips(elements):
+    prog = program(*elements)
+    text = format_pulses(prog)
+    back = parse_pulses(text)
+    assert back == prog
+    assert format_pulses(back) == text
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,21 @@ def test_exhaustive_three_spins():
     np.testing.assert_allclose(np.diag(res.rho).real, [10.5] + [-1.5] * 7, atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_exhaustive_equals_level_by_level_cycle(n):
+    # Reference: move every excited population one level per experiment.
+    system = fully_coupled(n)
+    diag = np.diag(thermal_state(system, weights=(1.0,) * n))
+    cycle = 2**n - 1
+    total = np.zeros_like(diag)
+    for k in range(cycle):
+        permuted = diag.copy()
+        for level in range(1, 2**n):
+            permuted[level] = diag[(level - 1 + k) % cycle + 1]
+        total = total + permuted
+    np.testing.assert_array_equal(prep_temporal_exhaustive(system).rho, np.diag(total))
+
+
 def test_exhaustive_matches_knill_direction_two_spins():
     a = prep_temporal_knill(HOMO)
     b = prep_temporal_exhaustive(HOMO)

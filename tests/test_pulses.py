@@ -322,3 +322,11 @@ def test_run_program_names_the_non_finite_element(element):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ProgramError, match=r"element 1 .*not finite"):
             run_program(rho, prog, CYTOSINE)
+
+
+def test_negative_delay_is_refused():
+    with pytest.raises(ProgramError, match="negative"):
+        delay_propagator(CYTOSINE, -1.0)
+    prog = program(Rotation((0,), 90.0), Delay(-1.0))
+    with pytest.raises(ProgramError, match=r"element 1 \(Delay\).*negative"):
+        run_program(basis_element("zE"), prog, CYTOSINE)

@@ -25,7 +25,7 @@ import numpy as np
 from .core import SpinSystem, phase_distance
 from .gates import (Circuit, CNot, ControlledPhase, Gate, Hadamard, Not,
                     Oracle, PseudoHadamard, PseudoHadamardInv, Swap, Toffoli,
-                    circuit_unitary, embed, gate_qubits)
+                    _validate, circuit_unitary, embed)
 from .pulses import (Couple, Delay, Element, FrameShift, PulseProgram,
                      Rotation, program_propagator, resolve_phase)
 
@@ -247,7 +247,7 @@ def compile_gate(gate: Gate, system: SpinSystem,
     phase once z rotations by the returned frame angles are appended (and
     the incoming frame angles are accounted for on entry).
     """
-    qs = gate_qubits(gate)
+    qs = _validate(gate)
     if any(q >= system.n for q in qs):
         raise CompileError(f"{type(gate).__name__} on qubits {qs} does not "
                            f"fit a {system.n}-spin system")

@@ -142,21 +142,8 @@ def resolve_phase(phase: Union[float, str]) -> Union[float, str]:
 # ---------------------------------------------------------------------------
 # propagators
 
-def _single_rotation(angle_deg: float, phase) -> np.ndarray:
-    half = math.radians(angle_deg) / 2.0
-    if phase == "z":
-        return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]])
-    phi = math.radians(float(phase))
-    c, s = math.cos(half), math.sin(half)
-    ax = math.cos(phi)
-    ay = math.sin(phi)
-    # exp(-i theta (ax Ix + ay Iy)) in closed form
-    return np.array([[c, -1j * s * (ax - 1j * ay)],
-                     [-1j * s * (ax + 1j * ay), c]])
-
-
-def rotation_propagator(n: int, targets, angle_deg: float, phase) -> np.ndarray:
-    """Unitary of a hard pulse hitting every spin in targets identically."""
+def _rotation(n: int, targets, angle_deg: float, phase):
+    """Checked hard pulse as (targets, 2x2), or a z pulse as (None, phases)."""
     targets = tuple(targets)
     if not targets:
         raise ProgramError("a pulse needs at least one target spin")
@@ -165,13 +152,61 @@ def rotation_propagator(n: int, targets, angle_deg: float, phase) -> np.ndarray:
     for t in targets:
         if not 0 <= t < n:
             raise ProgramError(f"pulse target {t} outside 0..{n - 1}")
-    angle_deg = _finite(angle_deg, "pulse angle")
-    u1 = _single_rotation(angle_deg, resolve_phase(phase))
-    out = np.array([[1.0 + 0j]])
-    eye = np.eye(2)
-    for k in range(n):
-        out = np.kron(out, u1 if k in targets else eye)
-    return out
+    half = math.radians(_finite(angle_deg, "pulse angle")) / 2.0
+    phase = resolve_phase(phase)
+    if phase == "z":  # exp(-i theta sum_k Iz_k) is diagonal
+        mz = 0.5 - _spin_bits(n)[:, list(targets)]
+        return None, np.exp(-2j * half * mz.sum(axis=1))
+    c, s = math.cos(half), math.sin(half)
+    e = complex(math.cos(math.radians(phase)), math.sin(math.radians(phase)))
+    # exp(-i theta (Ix cos phi + Iy sin phi)) in closed form, e = exp(i phi)
+    return targets, np.array([[c, -1j * s * e.conjugate()], [-1j * s * e, c]])
+
+
+def _delay(element: Delay, system: SpinSystem):
+    duration = _finite(element.duration, "delay duration")
+    if duration < 0:
+        raise ProgramError(f"delay duration {duration} is negative")
+    return None, np.exp(-1j * hamiltonian_diagonal(system) * duration)
+
+
+def _couple(element: Couple, system: SpinSystem):
+    i, j = element.pair
+    if i == j or not (0 <= i < system.n and 0 <= j < system.n):
+        raise ProgramError(f"bad coupling pair {element.pair} for {system.n} spins")
+    if system.j(i, j) == 0.0:
+        raise ProgramError(
+            f"spins {system.names[i]} and {system.names[j]} are uncoupled; "
+            "a coupling period cannot be realised")
+    fraction = _finite(element.fraction, "coupling fraction")
+    mz = 0.5 - _spin_bits(system.n)  # Iz eigenvalue of each spin per index
+    return None, np.exp(-2j * math.pi * fraction * mz[:, i] * mz[:, j])
+
+
+def _left(m: np.ndarray, targets, u: np.ndarray) -> np.ndarray:
+    """U @ m for an element in the form (targets, 2x2) or (None, phases).
+
+    Viewing the rows as (2^k, 2, rest) puts spin k's bit on axis 1, where u
+    contracts it: O(4^n) per target, not the O(8^n) of a dense product.
+    """
+    if targets is None:
+        return u[:, None] * m
+    for k in targets:
+        m = np.matmul(u, m.reshape(2 ** k, 2, -1)).reshape(m.shape)
+    return m
+
+
+def _conjugate(rho: np.ndarray, targets, u: np.ndarray) -> np.ndarray:
+    """U @ rho @ U^dagger for an element in the forms of _left."""
+    if targets is None:
+        return u[:, None] * rho * u.conj()
+    half = np.conjugate(_left(rho, targets, u).T, order="C")  # rho^dag U^dag
+    return np.conjugate(_left(half, targets, u).T, order="C")
+
+
+def rotation_propagator(n: int, targets, angle_deg: float, phase) -> np.ndarray:
+    """Unitary of a hard pulse hitting every spin in targets identically."""
+    return _left(np.eye(2 ** n, dtype=complex), *_rotation(n, targets, angle_deg, phase))
 
 
 @lru_cache(maxsize=64)
@@ -190,10 +225,7 @@ def hamiltonian_diagonal(system: SpinSystem) -> np.ndarray:
 
 def delay_propagator(system: SpinSystem, duration: float) -> np.ndarray:
     """Free precession unitary exp(-i H t); t must not be negative."""
-    duration = _finite(duration, "delay duration")
-    if duration < 0:
-        raise ProgramError(f"delay duration {duration} is negative")
-    return np.diag(np.exp(-1j * hamiltonian_diagonal(system) * duration))
+    return np.diag(_delay(Delay(duration), system)[1])
 
 
 def couple_propagator(system: SpinSystem, pair, fraction: float) -> np.ndarray:
@@ -203,17 +235,7 @@ def couple_propagator(system: SpinSystem, pair, fraction: float) -> np.ndarray:
     fraction; a zero coupling still raises because no duration could realise
     the element.
     """
-    i, j = pair
-    if i == j or not (0 <= i < system.n and 0 <= j < system.n):
-        raise ProgramError(f"bad coupling pair {pair} for {system.n} spins")
-    if system.j(i, j) == 0.0:
-        raise ProgramError(
-            f"spins {system.names[i]} and {system.names[j]} are uncoupled; "
-            "a coupling period cannot be realised")
-    fraction = _finite(fraction, "coupling fraction")
-    mz = 0.5 - _spin_bits(system.n)
-    mm = mz[:, i] * mz[:, j]  # product of the two Iz eigenvalues
-    return np.diag(np.exp(-2j * math.pi * fraction * mm))
+    return np.diag(_couple(Couple(pair, fraction), system)[1])
 
 
 def crush(rho: np.ndarray, keep_zero_quantum: bool = True) -> np.ndarray:
@@ -231,20 +253,18 @@ def mq_filter(rho: np.ndarray, orders) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # execution
 
-def _element_unitary(element: Element, system: SpinSystem):
-    """Unitary for an element, or None for the projective ones."""
-    if isinstance(element, Rotation):
-        return rotation_propagator(system.n, element.targets, element.angle,
-                                   element.phase)
-    if isinstance(element, Delay):
-        return delay_propagator(system, element.duration)
-    if isinstance(element, Couple):
-        return couple_propagator(system, element.pair, element.fraction)
-    if isinstance(element, FrameShift):
-        if not 0 <= element.spin < system.n:
-            raise ProgramError(f"frame shift on missing spin {element.spin}")
-        return rotation_propagator(system.n, (element.spin,), element.phase, "z")
-    return None
+_ACTIONS = {Rotation: lambda e, s: _rotation(s.n, e.targets, e.angle, e.phase),
+            FrameShift: lambda e, s: _rotation(s.n, (e.spin,), e.phase, "z"),
+            Delay: _delay, Couple: _couple}
+
+
+def _action(pos: int, element: Element, system: SpinSystem):
+    """Element pos in the forms of _left, None if projective; errors name it."""
+    act = _ACTIONS.get(type(element))
+    try:
+        return act(element, system) if act else None
+    except ProgramError as exc:
+        raise ProgramError(f"element {pos} ({type(element).__name__}): {exc}") from None
 
 
 def run_program(rho: np.ndarray, prog: PulseProgram, system: SpinSystem) -> np.ndarray:
@@ -257,16 +277,12 @@ def run_program(rho: np.ndarray, prog: PulseProgram, system: SpinSystem) -> np.n
     if n != system.n:
         raise ProgramError(f"state has {n} spins but system has {system.n}")
     for pos, element in enumerate(prog):
-        try:
-            if isinstance(element, Crush):
-                rho = crush(rho, element.keep_zero_quantum)
-            elif isinstance(element, MultiQuantumFilter):
-                rho = mq_filter(rho, element.orders)
-            else:
-                u = _element_unitary(element, system)
-                rho = u @ rho @ u.conj().T
-        except ProgramError as exc:
-            raise ProgramError(f"element {pos} ({type(element).__name__}): {exc}") from None
+        if isinstance(element, Crush):
+            rho = crush(rho, element.keep_zero_quantum)
+        elif isinstance(element, MultiQuantumFilter):
+            rho = mq_filter(rho, element.orders)
+        else:
+            rho = _conjugate(rho, *_action(pos, element, system))
     return rho
 
 
@@ -274,10 +290,10 @@ def program_propagator(prog: PulseProgram, system: SpinSystem) -> np.ndarray:
     """Total unitary of a program containing no crushers or filters."""
     u = np.eye(system.dim, dtype=complex)
     for pos, element in enumerate(prog):
-        step = _element_unitary(element, system)
-        if step is None:
+        action = _action(pos, element, system)
+        if action is None:
             raise ProgramError(
                 f"element {pos} ({type(element).__name__}) is projective; "
                 "the program has no single unitary")
-        u = step @ u
+        u = _left(u, *action)
     return u

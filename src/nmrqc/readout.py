@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import SpinSystem, basis_element, _all_labels, _spin_count
-from .pulses import rotation_propagator
+from .pulses import _conjugate, _rotation, rotation_propagator
 
 AMP_DROP = 1e-12
 
@@ -123,8 +123,7 @@ def read_spectrum(rho: np.ndarray, system: SpinSystem, observe=None,
     spins = _check_observe(system, observe)
     lines: list[SpectrumLine] = []
     for i in spins:
-        u = rotation_propagator(system.n, (i,), 90.0, "y")
-        excited = u @ rho @ u.conj().T
+        excited = _conjugate(rho, *_rotation(system.n, (i,), 90.0, "y"))
         lines.extend(spectrum(excited, system, (i,),
                               detector_phases=detector_phases).lines)
     return Spectrum(tuple(lines))

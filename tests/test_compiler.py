@@ -8,6 +8,7 @@ import pytest
 from nmrqc.compiler import (
     CompileError,
     compile_circuit,
+    compile_gate,
     insert_refocusing,
     phase_gate_program,
     transition_selective_cnot,
@@ -29,6 +30,7 @@ from nmrqc.gates import (
     Oracle,
     PseudoHadamard,
     Swap,
+    GateError,
     Toffoli,
     cat_circuit,
     circuit,
@@ -227,3 +229,15 @@ def test_refocusing_keeps_two_spin_programs_unchanged():
     base = compile_circuit(circuit(2, CNot(0, 1)), CYTOSINE)
     same = insert_refocusing(base, CYTOSINE, (0, 1))
     assert same.elements == base.elements
+
+
+@pytest.mark.parametrize("gate", [Hadamard(-1), CNot(0, 0)], ids=["negative", "repeated"])
+def test_compile_gate_refuses_an_ill_formed_gate(gate):
+    with pytest.raises(GateError):
+        compile_gate(gate, spin_chain(3))
+
+
+def test_compile_gate_refuses_a_gate_too_wide_for_the_system():
+    text = r"^CNot on qubits \(0, 3\) does not fit a 3-spin system$"
+    with pytest.raises(CompileError, match=text):
+        compile_gate(CNot(0, 3), spin_chain(3))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import re
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from nmrqc.pulses import (
     rotation_propagator,
     run_program,
 )
+from nmrqc.readout import read_spectrum, spectrum
 
 CYTOSINE = spin_pair(7.2, offsets=(381.5, -381.5))
 HETERO = spin_pair(215.0, species=("1H", "13C"))
@@ -330,3 +333,160 @@ def test_negative_delay_is_refused():
     prog = program(Rotation((0,), 90.0), Delay(-1.0))
     with pytest.raises(ProgramError, match=r"element 1 \(Delay\).*negative"):
         run_program(basis_element("zE"), prog, CYTOSINE)
+
+
+# ---------------------------------------------------------------------------
+# refusals agree across entry points
+
+PULSE_REFUSALS = [
+    (Rotation((), 90.0), (2, (), 90.0, 0.0), "a pulse needs at least one target spin"),
+    (Rotation((0, 0), 90.0), (2, (0, 0), 90.0, 0.0), "duplicate pulse targets (0, 0)"),
+    (Rotation((2,), 90.0), (2, (2,), 90.0, 0.0), "pulse target 2 outside 0..1"),
+    (Rotation((0,), NAN), (2, (0,), NAN, 0.0), "pulse angle nan is not finite"),
+    (Rotation((0,), 90.0, NAN), (2, (0,), 90.0, NAN), "pulse phase nan is not finite"),
+    (FrameShift(2, 90.0), (2, (2,), 90.0, "z"), "pulse target 2 outside 0..1"),
+    (FrameShift(0, NAN), (2, (0,), NAN, "z"), "pulse angle nan is not finite"),
+]
+
+
+@pytest.mark.parametrize(
+    "element,args,text",
+    PULSE_REFUSALS,
+    ids=["empty", "duplicate", "range", "angle", "phase", "frame-spin", "frame-phase"],
+)
+def test_pulse_refusals_agree_across_entry_points(element, args, text):
+    with pytest.raises(ProgramError, match=f"^{re.escape(text)}$"):
+        rotation_propagator(*args)
+    prog = program(Rotation((1,), 90.0), element)
+    named = rf"^element 1 \({type(element).__name__}\): {re.escape(text)}$"
+    with pytest.raises(ProgramError, match=named):
+        run_program(basis_element("zE"), prog, CYTOSINE)
+    with pytest.raises(ProgramError, match=named):
+        program_propagator(prog, CYTOSINE)
+
+
+@pytest.mark.parametrize(
+    "element",
+    [Rotation((0,), NAN), Delay(INF), Delay(-1.0), Couple((0, 1), INF),
+     Couple((1, 1), 0.5), FrameShift(1, NAN)],
+    ids=["rotation", "delay", "negative-delay", "couple", "couple-pair", "frame-shift"],
+)
+def test_program_propagator_names_the_failing_element(element):
+    prog = program(Rotation((0,), 90.0), element)
+    with pytest.raises(ProgramError) as ran:
+        run_program(basis_element("zE"), prog, CYTOSINE)
+    with pytest.raises(ProgramError) as built:
+        program_propagator(prog, CYTOSINE)
+    assert str(built.value) == str(ran.value)
+    assert str(built.value).startswith(f"element 1 ({type(element).__name__}): ")
+
+
+# ---------------------------------------------------------------------------
+# dense oracle: every element as a full 2^n x 2^n matrix
+
+IX = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
+IY = np.array([[0, -0.5j], [0.5j, 0]], dtype=complex)
+IZ = np.diag([0.5, -0.5]).astype(complex)
+NAMED_PHASES = {"x": 0.0, "y": 90.0, "-x": 180.0, "-y": 270.0}
+
+
+def on_spin(n, k, op):
+    """op on spin k (the leftmost Kronecker factor is spin 0), identity elsewhere."""
+    return reduce(np.kron, [op if j == k else np.eye(2) for j in range(n)])
+
+
+def dense_unitary(element, system):
+    n = system.n
+    if isinstance(element, FrameShift):
+        element = Rotation((element.spin,), element.phase, "z")
+    if isinstance(element, Rotation):
+        if element.phase == "z":
+            gen = IZ
+        else:
+            phi = np.radians(NAMED_PHASES.get(element.phase, element.phase))
+            gen = np.cos(phi) * IX + np.sin(phi) * IY
+        u1 = expm(-1j * np.radians(element.angle) * gen)
+        return reduce(np.kron, [u1 if k in element.targets else np.eye(2) for k in range(n)])
+    if isinstance(element, Delay):
+        h = sum(2 * np.pi * nu * on_spin(n, k, IZ) for k, nu in enumerate(system.offsets))
+        for (i, j), hz in system.couplings:
+            h = h + 2 * np.pi * hz * on_spin(n, i, IZ) @ on_spin(n, j, IZ)
+        return expm(-1j * h * element.duration)
+    i, j = element.pair
+    return expm(-2j * np.pi * element.fraction * on_spin(n, i, IZ) @ on_spin(n, j, IZ))
+
+
+def dense_run(rho, prog, system):
+    n = system.n
+    ones = np.array([format(x, f"0{n}b").count("1") for x in range(2 ** n)])
+    order = ones[None, :] - ones[:, None]  # coherence order of |r><c|
+    for element in prog:
+        if isinstance(element, Crush):
+            keep = order == 0 if element.keep_zero_quantum else np.eye(2 ** n, dtype=bool)
+            rho = np.where(keep, rho, 0)
+        elif isinstance(element, MultiQuantumFilter):
+            rho = np.where(np.isin(order, element.orders), rho, 0)
+        else:
+            u = dense_unitary(element, system)
+            rho = u @ rho @ u.conj().T
+    return rho
+
+
+@st.composite
+def systems_and_programs(draw):
+    n = draw(st.integers(1, 6))
+    system = draw(st.sampled_from([spin_chain(n), fully_coupled(n)]))
+    spins = st.integers(0, n - 1)
+    phases = st.one_of(st.sampled_from(["x", "y", "-x", "-y", "z"]), st.floats(0, 360))
+    kinds = [
+        st.builds(Rotation, st.lists(spins, min_size=1, unique=True).map(tuple),
+                  st.floats(-720, 720), phases),
+        st.builds(Delay, st.floats(0, 0.01)),
+        st.builds(FrameShift, spins, st.floats(-360, 360)),
+        st.builds(Crush, st.booleans()),
+        st.builds(MultiQuantumFilter,
+                  st.lists(st.integers(-n, n), min_size=1, max_size=3, unique=True).map(tuple)),
+    ]
+    pairs = [pair for pair, _ in system.couplings]
+    if pairs:
+        either_way = st.sampled_from(pairs).flatmap(lambda p: st.sampled_from([p, p[::-1]]))
+        kinds.append(st.builds(Couple, either_way, st.floats(0, 2)))
+    elements = draw(st.lists(st.one_of(kinds), min_size=1, max_size=8))
+    return system, program(*elements)
+
+
+def random_matrix(seed, n):
+    rng = np.random.default_rng(seed)
+    dim = 2 ** n
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems_and_programs(), st.integers(0, 2 ** 32 - 1))
+def test_engine_matches_dense_oracle(system_and_program, seed):
+    system, prog = system_and_program
+    # Not Hermitian, so the test sees both sides of every conjugation.
+    rho = random_matrix(seed, system.n)
+    np.testing.assert_allclose(
+        run_program(rho, prog, system), dense_run(rho, prog, system), rtol=0, atol=1e-12)
+    unitary = [e for e in prog if not isinstance(e, (Crush, MultiQuantumFilter))]
+    want = reduce(lambda u, e: dense_unitary(e, system) @ u, unitary, np.eye(system.dim))
+    np.testing.assert_allclose(
+        program_propagator(program(*unitary), system), want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_read_spectrum_matches_dense_excitation(n, chain, seed):
+    system = spin_chain(n) if chain else fully_coupled(n)
+    a = random_matrix(seed, n)
+    rho = a + a.conj().T
+    got = read_spectrum(rho, system).lines
+    want = []
+    for i in range(n):
+        u = dense_unitary(Rotation((i,), 90.0, "y"), system)
+        want.extend(spectrum(u @ rho @ u.conj().T, system, (i,)).lines)
+    assert [(ln.spin, ln.partner_bits, ln.freq_hz) for ln in got] == [
+        (ln.spin, ln.partner_bits, ln.freq_hz) for ln in want]
+    np.testing.assert_allclose([ln.amp for ln in got], [ln.amp for ln in want],
+                               rtol=0, atol=1e-12)

@@ -219,31 +219,28 @@ def expand(rho: np.ndarray) -> ProductOperatorExpansion:
     """
     n = _spin_count(rho)
     # Mode-wise contraction with the single-spin basis: O(n 4^(n+1)) instead
-    # of touching all 4^n full matrices.
+    # of touching all 4^n full matrices. Weighting E by 1/2 and x, y, z by 1
+    # gives Tr(B rho) / Tr(B B) up to one factor 2 on every label but all-E.
     stack = np.stack([_SINGLE[ch] for ch in LABEL_LETTERS])  # (4, 2, 2)
     m = stack.transpose(0, 2, 1).reshape(4, 4)  # M[k, r*2+c] = B_k[c, r]
+    m = m * np.array([[0.5], [1.0], [1.0], [1.0]])
     t = rho.reshape((2,) * (2 * n))
     t = np.transpose(t, [a for pair in zip(range(n), range(n, 2 * n)) for a in pair])
     t = t.reshape((4,) * n)
     for i in range(n):
         t = np.moveaxis(np.tensordot(m, t, axes=([1], [i])), 0, i)
-    terms: dict[str, float] = {}
-    scale_active = 2.0 ** (n - 2)
-    for idx, label in zip(itertools.product(range(4), repeat=n), _all_labels(n)):
-        raw = t[idx]
-        q = sum(1 for ch in label if ch != "E")
-        if q == 0:
-            coeff = raw / 2 ** n
-        else:
-            # basis_element carries 2^(q-1); the contraction used bare factors
-            coeff = raw * 2.0 ** (q - 1) / scale_active
-        if abs(coeff) < ProductOperatorExpansion.DROP:
-            continue
-        if abs(coeff.imag) > 1e-9 * max(1.0, abs(coeff.real)):
-            raise ValueError(
-                f"non-real coefficient {coeff:.3e} on {label}; input is not "
-                "Hermitian on this spin space")
-        terms[label] = float(coeff.real)
+    coeff = 2.0 * t.reshape(-1)  # flat index k is the label _all_labels(n)[k]
+    coeff[0] /= 2.0
+    # NaN coefficients are kept, so a bad input stays visible.
+    keep = np.flatnonzero(~(np.abs(coeff) < ProductOperatorExpansion.DROP))
+    bad = np.abs(coeff.imag[keep]) > 1e-9 * np.maximum(1.0, np.abs(coeff.real[keep]))
+    labels = _all_labels(n)
+    if bad.any():
+        k = keep[np.argmax(bad)]
+        raise ValueError(
+            f"non-real coefficient {coeff[k]:.3e} on {labels[k]}; input is not "
+            "Hermitian on this spin space")
+    terms = dict(zip(map(labels.__getitem__, keep.tolist()), coeff.real[keep].tolist()))
     return ProductOperatorExpansion(n, terms)
 
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .core import SpinSystem, basis_element, _all_labels, _spin_count
-from .pulses import _conjugate, _rotation, rotation_propagator
+from .core import (ProductOperatorExpansion, SpinSystem, assemble, basis_element,
+                   _all_labels, _spin_bits, _spin_count)
+from .pulses import Rotation, _conjugate, _rotation, program, program_propagator
 
 AMP_DROP = 1e-12
 
@@ -33,6 +33,7 @@ class SpectrumLine:
     partner_bits: str
     freq_hz: float
     amp: complex
+    partners: tuple[int, ...]  # the spin behind each character of partner_bits
 
 
 @dataclass(frozen=True)
@@ -65,26 +66,34 @@ def _check_observe(system: SpinSystem, observe) -> tuple[int, ...]:
     return spins
 
 
-def _all_lines(rho: np.ndarray, system: SpinSystem,
-               observe: Iterable[int]) -> list[SpectrumLine]:
-    """Every (spin, partner configuration) line, zero amplitudes included."""
+def _line_amplitudes(rho: np.ndarray, system: SpinSystem, i: int) -> np.ndarray:
+    """Spin i's line amplitudes, one per partner configuration in _spin_bits order.
+
+    A line sums rho[x with spin i = 1, x with spin i = 0] over the spins not
+    coupled to i. rho may carry leading batch axes.
+    """
     n = system.n
-    out: list[SpectrumLine] = []
-    for i in observe:
-        partners = system.partners(i)
-        ibit = 1 << (n - 1 - i)
-        rest = [k for k in range(n) if k != i and k not in partners]
-        for bits in itertools.product((0, 1), repeat=len(partners)):
-            freq = system.offsets[i] + sum(
-                system.j(i, p) * (b - 0.5) for p, b in zip(partners, bits))
-            base = sum(b << (n - 1 - p) for p, b in zip(partners, bits))
-            amp = 0j
-            for other in itertools.product((0, 1), repeat=len(rest)):
-                lo = base + sum(b << (n - 1 - k) for k, b in zip(rest, other))
-                amp += rho[lo | ibit, lo]
-            label = "".join(str(b) for b in bits)
-            out.append(SpectrumLine(i, label, freq, amp))
-    return out
+    own = _spin_bits(n)[:, i]
+    amps = rho[..., np.flatnonzero(own == 1), np.flatnonzero(own == 0)]
+    partners = system.partners(i)
+    others = [k for k in range(n) if k != i]
+    rest = tuple(a - len(others) for a, k in enumerate(others) if k not in partners)
+    amps = amps.reshape(rho.shape[:-2] + (2,) * len(others)).sum(axis=rest)
+    return amps.reshape(rho.shape[:-2] + (-1,))
+
+
+def _lines(rho: np.ndarray, system: SpinSystem, i: int, turn) -> list[SpectrumLine]:
+    """Every line of spin i, zero amplitudes included, amplitudes times turn."""
+    partners = system.partners(i)
+    bits = _spin_bits(len(partners))
+    shift = np.zeros(len(bits))
+    for col, p in enumerate(partners):
+        shift = shift + system.j(i, p) * (bits[:, col] - 0.5)
+    freqs = (system.offsets[i] + shift).tolist()
+    labels = ["".join(map(str, row)) for row in bits.tolist()]
+    amps = _line_amplitudes(rho, system, i) * turn
+    return [SpectrumLine(i, label, freq, amp, partners)
+            for label, freq, amp in zip(labels, freqs, amps)]
 
 
 def spectrum(rho: np.ndarray, system: SpinSystem, observe=None,
@@ -99,14 +108,13 @@ def spectrum(rho: np.ndarray, system: SpinSystem, observe=None,
     if _spin_count(rho) != system.n:
         raise ReadoutError("state and system disagree on spin count")
     spins = _check_observe(system, observe)
-    lines = _all_lines(rho, system, spins)
+    turn = np.ones(system.n)
     if detector_phases is not None:
         if len(detector_phases) != system.n:
             raise ReadoutError(f"{len(detector_phases)} detector phases "
                                f"for {system.n} spins")
         turn = [np.exp(1j * np.radians(p)) for p in detector_phases]
-        lines = [SpectrumLine(ln.spin, ln.partner_bits, ln.freq_hz,
-                              ln.amp * turn[ln.spin]) for ln in lines]
+    lines = [ln for i in spins for ln in _lines(rho, system, i, turn[i])]
     kept = tuple(ln for ln in lines if abs(ln.amp) > AMP_DROP)
     return Spectrum(kept)
 
@@ -137,7 +145,8 @@ def assign_eigenstates(spec: Spectrum, reference: Spectrum) -> str:
     reads 0, opposite sign reads 1; amplitudes smaller than 1e-6 of the
     reference are refused as indeterminate. Each spin's strongest line
     also names its partners' bits through its multiplet position, and any
-    disagreement with the sign reading is an error rather than a guess.
+    disagreement with the sign reading of an observed partner is an error
+    rather than a guess.
     """
     spins = reference.spins()
     if not spins:
@@ -154,14 +163,8 @@ def assign_eigenstates(spec: Spectrum, reference: Spectrum) -> str:
         bits[s] = 0 if (meas > 0) == (ref > 0) else 1
     for s in spins:
         strongest = max(spec.for_spin(s), key=lambda ln: abs(ln.amp))
-        others = [p for p in spins if p != s]
-        # Partner labels run over coupled spins in ascending index order.
-        # Without the system in hand the indices are only recoverable when
-        # every other observed spin contributes a label position.
-        if len(strongest.partner_bits) != len(others):
-            continue
-        for p, c in zip(others, strongest.partner_bits):
-            if bits[p] != int(c):
+        for p, c in zip(strongest.partners, strongest.partner_bits):
+            if p in bits and bits[p] != int(c):
                 raise ReadoutError(
                     f"spin {s}: line position says partner {p} is |{c}> "
                     f"but its own line says |{bits[p]}>")
@@ -193,34 +196,24 @@ def tomography(rho_true: np.ndarray, system: SpinSystem,
         if len(codes) != n or any(c not in ("", "x", "y") for c in codes):
             raise ReadoutError(f"bad experiment code {codes!r}")
 
-    props = []
-    for codes in scheme:
-        u = np.eye(2 ** n, dtype=complex)
-        for s, c in enumerate(codes):
-            if c:
-                u = rotation_propagator(n, (s,), 90.0, c) @ u
-        props.append(u)
-
+    props = [program_propagator(program(*(Rotation((s,), 90.0, c)
+                                          for s, c in enumerate(codes) if c)), system)
+             for codes in scheme]
     labels = _all_labels(n)[1:]  # all-E sorts first
 
     def amps(rho) -> np.ndarray:
-        cols = []
-        for u in props:
-            transformed = u @ rho @ u.conj().T
-            for ln in _all_lines(transformed, system, range(n)):
-                cols.append(ln.amp)
-        v = np.array(cols)
-        return np.concatenate([v.real, v.imag])
+        v = np.concatenate([_line_amplitudes(u @ rho @ u.conj().T, system, i)
+                            for u in props for i in range(n)], axis=-1)
+        return np.concatenate([v.real, v.imag], axis=-1)
 
-    design = np.column_stack([amps(basis_element(lb)) for lb in labels])
+    design = amps(np.stack([basis_element(lb) for lb in labels])).T
     if np.linalg.matrix_rank(design) < len(labels):
         raise ReadoutError(
             "readout scheme cannot distinguish all deviation terms; "
             "add pulse combinations")
-    target = amps(rho_true)
-    coeff, *_ = np.linalg.lstsq(design, target, rcond=None)
-    rho_est = sum(c * basis_element(lb) for c, lb in zip(coeff, labels))
-    rho_est = rho_est + (np.trace(rho_true) / 2 ** n) * np.eye(2 ** n)
+    coeff, *_ = np.linalg.lstsq(design, amps(rho_true), rcond=None)
+    rho_est = assemble(ProductOperatorExpansion(
+        n, {**dict(zip(labels, coeff)), "E" * n: np.trace(rho_true) / 2 ** n}))
     table = {lb: float(c) for lb, c in zip(labels, coeff)
              if abs(c) > AMP_DROP}
     return {

@@ -200,3 +200,18 @@ def test_negative_delay_pulse_file_is_a_data_error(workdir, capsys):
     )
     assert code == 2
     assert "negative" in err
+
+
+def test_run_checks_only_observed_partners(tmp_path, capsys):
+    # Spin q0's only partner is q1, which is not observed; q2's neither.
+    (tmp_path / "chain.cfg").write_text(
+        "SPIN a 1H -100\nSPIN b 1H 0\nSPIN c 1H 100\nJ a b 50\nJ b c 50\n")
+    (tmp_path / "x1.qc").write_text("X q1\n")
+    args = ["run", "--system", str(tmp_path / "chain.cfg"), "--prep", "exhaustive",
+            "--circuit", str(tmp_path / "x1.qc")]
+    code, out, err = run_cli(capsys, *args, "--observe", "q0,q2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "bits 00"
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert out.splitlines()[0] == "bits 010"

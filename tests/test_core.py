@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,53 @@ def test_expand_assemble_round_trip(seed, n):
     herm = (a + a.conj().T) / 2
     back = assemble(expand(herm))
     np.testing.assert_allclose(back, herm, atol=1e-10)
+
+
+def expand_oracle(rho):
+    """Tr(B rho) / Tr(B B) for every label, in label order."""
+    n = int(np.log2(rho.shape[0]))
+    out = {}
+    for letters in itertools.product("Exyz", repeat=n):
+        b = basis_element("".join(letters))
+        out["".join(letters)] = np.trace(b @ rho) / np.trace(b @ b).real
+    return out
+
+
+def random_labels(rng, n, count):
+    return ["".join(rng.choice(list("Exyz"), size=n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_expand_matches_dense_oracle(n, seed):
+    rng = np.random.default_rng(100 * n + seed)
+    dim = 2 ** n
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    coeffs = [rng.normal(), rng.normal(), 1e-9]  # the last sits just above the drop floor
+    sparse = sum(c * basis_element(lb) for c, lb in zip(coeffs, random_labels(rng, n, 3)))
+    for rho in ((a + a.conj().T) / 2, sparse):
+        want = {lb: c for lb, c in expand_oracle(rho).items()
+                if abs(c) >= ProductOperatorExpansion.DROP}
+        got = expand(rho).terms
+        assert list(got) == list(want)
+        np.testing.assert_allclose(list(got.values()), [c.real for c in want.values()],
+                                   rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_expand_names_first_non_real_label(n):
+    rng = np.random.default_rng(n)
+    dim = 2 ** n
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = (a + a.conj().T) / 2
+    for lb in random_labels(rng, n, 2):
+        rho = rho + 1j * rng.uniform(0.1, 1.0) * basis_element(lb)
+    first = next(lb for lb, c in expand_oracle(rho).items()
+                 if abs(c) >= ProductOperatorExpansion.DROP
+                 and abs(c.imag) > 1e-9 * max(1.0, abs(c.real)))
+    with pytest.raises(ValueError, match=rf"non-real coefficient \S+ on {first}; "
+                       "input is not Hermitian on this spin space"):
+        expand(rho)
 
 
 def test_assemble_from_dict():
